@@ -18,7 +18,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
 
-use sit_bench::harness::{fmt_ns, json_string};
+use sit_bench::harness::{fmt_ns, json_string, nearest_rank};
 use sit_bench::table;
 use sit_core::assertion::Assertion;
 use sit_datagen::{GeneratedPair, GeneratorConfig};
@@ -125,13 +125,6 @@ fn normalize(a: Assertion) -> Assertion {
     a
 }
 
-/// Nearest-rank percentiles of a sorted latency slice
-/// (same formula as `sit_bench::harness`).
-fn percentile(sorted: &[u64], q_num: usize, q_den: usize) -> u64 {
-    let rank = (sorted.len() * q_num).div_ceil(q_den);
-    sorted[rank.max(1) - 1]
-}
-
 fn drive(addr: SocketAddr, clients: usize, sessions: usize) -> (Vec<Timed>, f64) {
     let (tx, rx) = mpsc::channel::<Vec<Timed>>();
     let started = Instant::now();
@@ -201,7 +194,7 @@ fn main() {
     let mut results = Vec::new();
     for (verb, mut ns) in by_verb {
         ns.sort_unstable();
-        let (min, med, p95) = (ns[0], percentile(&ns, 1, 2), percentile(&ns, 19, 20));
+        let (min, med, p95) = (ns[0], nearest_rank(&ns, 1, 2), nearest_rank(&ns, 19, 20));
         rows.push(vec![
             verb.to_owned(),
             ns.len().to_string(),
@@ -223,13 +216,13 @@ fn main() {
     println!("{}", table(&["verb", "count", "min", "median", "p95"], &rows));
     println!(
         "throughput : {rps:.0} requests/sec ({total} requests in {elapsed:.3}s)\np95 overall: {}",
-        fmt_ns(percentile(&overall, 19, 20))
+        fmt_ns(nearest_rank(&overall, 19, 20))
     );
 
     let json = format!(
         "{{\n  \"bench\": \"server\",\n  \"clients\": {clients},\n  \"sessions_per_client\": {sessions},\n  \"server_threads\": {server_threads},\n  \"requests\": {total},\n  \"elapsed_ms\": {:.3},\n  \"requests_per_sec\": {rps:.1},\n  \"p95_ns\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         elapsed * 1e3,
-        percentile(&overall, 19, 20),
+        nearest_rank(&overall, 19, 20),
         results.join(",\n")
     );
     std::fs::write("BENCH_server.json", json).expect("write BENCH_server.json");

@@ -89,17 +89,12 @@ impl Bench {
             ns.push(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
         }
         ns.sort_unstable();
-        let nearest_rank = |q_num: usize, q_den: usize| {
-            // Nearest-rank percentile on the sorted samples.
-            let rank = (ns.len() * q_num).div_ceil(q_den);
-            ns[rank.max(1) - 1]
-        };
         let label = label.into();
         let m = Measurement {
             samples: self.samples,
             min_ns: ns[0],
-            median_ns: nearest_rank(1, 2),
-            p95_ns: nearest_rank(19, 20),
+            median_ns: nearest_rank(&ns, 1, 2),
+            p95_ns: nearest_rank(&ns, 19, 20),
             mean_ns: (ns.iter().map(|&v| u128::from(v)).sum::<u128>() / ns.len() as u128) as u64,
             label,
         };
@@ -154,6 +149,12 @@ impl Bench {
         out.push_str("  ]\n}\n");
         out
     }
+}
+
+/// Nearest-rank percentile `q_num / q_den` of a sorted, non-empty slice.
+pub fn nearest_rank(sorted: &[u64], q_num: usize, q_den: usize) -> u64 {
+    let rank = (sorted.len() * q_num).div_ceil(q_den);
+    sorted[rank.max(1) - 1]
 }
 
 /// Human-readable nanoseconds (the table column format).
@@ -225,6 +226,15 @@ mod tests {
         let b_pos = json.find("b/second").unwrap();
         assert!(a < b_pos, "sorted by label");
         assert!(json.contains("\"min_ns\":"));
+    }
+
+    #[test]
+    fn nearest_rank_picks_the_ceiling_rank() {
+        let sorted = [10, 20, 30, 40];
+        assert_eq!(nearest_rank(&sorted, 1, 2), 20);
+        assert_eq!(nearest_rank(&sorted, 19, 20), 40);
+        assert_eq!(nearest_rank(&sorted, 0, 1), 10);
+        assert_eq!(nearest_rank(&[7], 1, 2), 7);
     }
 
     #[test]

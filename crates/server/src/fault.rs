@@ -449,11 +449,10 @@ impl<T: Transport> Transport for FaultedTransport<T> {
         if allowed == 0 {
             return Ok(0);
         }
-        let n = self.inner.write(&buf[..allowed])?;
-        if n == 0 {
-            return Ok(0);
-        }
-        if let Some(delay_ms) = self.plan.write.advance(n) {
+        // Account the segment, delay included, before its bytes reach
+        // the peer: a peer that has the whole response may act on it at
+        // once, and must already see this write's virtual time.
+        if let Some(delay_ms) = self.plan.write.advance(allowed) {
             let at = self.plan.write.offset;
             if delay_ms > 0 {
                 self.clock.advance_ms(delay_ms);
@@ -469,7 +468,8 @@ impl<T: Transport> Transport for FaultedTransport<T> {
                 self.log.push(FaultEvent::WriteSplit { conn: self.conn, at });
             }
         }
-        Ok(n)
+        self.inner.write_all(&buf[..allowed])?;
+        Ok(allowed)
     }
 
     fn flush(&mut self) -> io::Result<()> {

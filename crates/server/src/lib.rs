@@ -22,8 +22,9 @@
 //!   policies), periodic snapshots with journal compaction, and crash
 //!   recovery that replays records through the service's own dispatch
 //!   (`--data-dir`);
-//! * [`pool`] — a fixed worker pool with a bounded queue; a full queue
-//!   rejects with the `overloaded` error instead of blocking;
+//! * [`admission`] — the gate bounding requests executing at once and
+//!   waiting for a slot; beyond both it rejects with the `overloaded`
+//!   error instead of blocking;
 //! * [`metrics`] — lock-free per-verb counters and base-2 latency
 //!   histograms (`sit-obs`), served by `stats` and, as Prometheus
 //!   text, by `metrics_text`;
@@ -63,11 +64,11 @@
 //! handle.join().unwrap();
 //! ```
 
+pub mod admission;
 pub mod client;
 pub mod fault;
 pub mod metrics;
 pub mod persist;
-pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod service;
@@ -76,6 +77,7 @@ pub mod store;
 pub mod transport;
 pub mod wire;
 
+pub use admission::Admission;
 pub use client::{error_code, Client, ClientConfig, RetryPolicy};
 pub use persist::{FsyncPolicy, PersistConfig, Persistence};
 pub use proto::{ErrorCode, Request, ServerError};

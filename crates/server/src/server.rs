@@ -2,36 +2,41 @@
 //!
 //! ## TCP ([`Server`])
 //!
-//! One acceptor thread owns the listener. Each connection gets a cheap
-//! blocking reader thread; *execution* happens on the shared bounded
-//! [`ThreadPool`] — a connection submits the frame plus a reply channel
-//! and waits, so responses stay in request order per connection while
-//! different connections run in parallel. When the pool queue is full
-//! the submit is rejected without blocking and the connection is
-//! answered with the typed `overloaded` error immediately.
+//! One acceptor thread owns the listener. Each connection gets its own
+//! thread, which reads a frame, executes it inline and writes the
+//! response, so responses stay in request order per connection while
+//! different connections run in parallel. An [`Admission`] gate bounds
+//! how many requests execute at once (`threads`) and how many may wait
+//! for a slot (`queue_cap`); beyond that a request is answered with the
+//! typed `overloaded` error immediately. A connection is deregistered
+//! when its thread exits, and `accept` errors (e.g. out of file
+//! descriptors) back off instead of spinning.
 //!
 //! Graceful shutdown (wire verb `shutdown`, or
 //! [`Service::begin_shutdown`] from a ctrl channel) drains: the acceptor
-//! stops, queued and in-flight requests complete and their responses are
-//! written, then client sockets are read-shutdown to unblock readers and
-//! every thread is joined.
+//! stops, the gate closes and waiting and in-flight requests complete
+//! and their responses are written, then client sockets are
+//! read-shutdown to unblock readers and every thread is joined.
 //!
 //! ## stdio ([`serve_stdio`])
 //!
 //! The same protocol, one request per line on stdin, one response per
 //! line on stdout — single-threaded, for pipes and tests.
 
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use sit_obs::clock::MonotonicClock;
+use sit_obs::sync::lock_recover;
 
+use crate::admission::Admission;
 use crate::persist::PersistConfig;
-use crate::pool::ThreadPool;
 use crate::proto::{ErrorCode, ServerError};
 use crate::service::Service;
 use crate::storage::{DirStorage, Storage};
@@ -51,9 +56,10 @@ pub struct PersistOptions {
 /// Serving limits.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing requests.
+    /// Requests executing at once.
     pub threads: usize,
-    /// Bounded queue depth; submissions beyond it get `overloaded`.
+    /// Requests that may wait for an executing slot; beyond it they get
+    /// `overloaded`.
     pub queue_cap: usize,
     /// Session-store limits.
     pub store: StoreConfig,
@@ -86,6 +92,9 @@ pub fn build_service(config: &ServerConfig) -> std::io::Result<Service> {
         ),
     }
 }
+
+/// How long the acceptor sleeps after a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// A bound (not yet running) TCP server.
 pub struct Server {
@@ -131,34 +140,50 @@ impl Server {
             service,
             config,
         } = self;
-        let pool = Arc::new(ThreadPool::new(config.threads, config.queue_cap));
-        let interrupters: Arc<Mutex<Vec<Interrupter>>> = Arc::new(Mutex::new(Vec::new()));
+        let gate = Arc::new(Admission::new(config.threads, config.queue_cap));
+        // Live connections' interrupters by connection id: each thread
+        // removes its own on exit, and the acceptor joins finished
+        // threads, so neither grows with the connections served.
+        let interrupters: Arc<Mutex<HashMap<u64, Interrupter>>> = Arc::default();
         let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
 
-        for stream in listener.incoming() {
+        for (id, stream) in (0u64..).zip(listener.incoming()) {
             if service.is_draining() {
                 break;
             }
-            let Ok(stream) = stream else { continue };
+            let Ok(stream) = stream else {
+                // Out of descriptors (EMFILE) and the like: the pending
+                // connection stays queued, so retrying at once would spin.
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            };
+            for handle in std::mem::take(&mut conn_threads) {
+                if handle.is_finished() {
+                    let _ = handle.join();
+                } else {
+                    conn_threads.push(handle);
+                }
+            }
             let transport = TcpTransport::new(stream);
-            interrupters
-                .lock()
-                .expect("interrupters lock")
-                .push(transport.interrupter());
+            lock_recover(&interrupters).insert(id, transport.interrupter());
             let service = Arc::clone(&service);
-            let pool = Arc::clone(&pool);
+            let gate = Arc::clone(&gate);
+            let registry = Arc::clone(&interrupters);
             let handle = std::thread::Builder::new()
                 .name("sit-conn".into())
-                .spawn(move || serve_connection(transport, &service, &pool))
+                .spawn(move || {
+                    serve_connection(transport, &service, &gate);
+                    lock_recover(&registry).remove(&id);
+                })
                 .expect("spawn connection thread");
             conn_threads.push(handle);
         }
 
-        // Drain: finish queued + in-flight work (responses are written by
-        // the connection threads as results arrive)...
-        pool.shutdown();
+        // Drain: finish waiting + in-flight work (responses are written by
+        // the connection threads as they complete)...
+        gate.shutdown();
         // ...then unblock any reader still waiting for a next request.
-        for interrupter in interrupters.lock().expect("interrupters lock").iter() {
+        for interrupter in lock_recover(&interrupters).values() {
             interrupter.interrupt();
         }
         for handle in conn_threads {
@@ -219,15 +244,17 @@ impl ServerHandle {
 /// This is the loop both the TCP acceptor and the simulated/chaos
 /// transports run: bytes are reassembled into newline-delimited frames by
 /// a [`FrameBuffer`] (so torn and coalesced reads behave identically on
-/// every transport), each frame executes on the shared bounded pool, and
-/// the response is written back in request order. A frame that exceeds
-/// [`crate::wire::MAX_LINE`] without a newline gets a typed `parse` error
-/// and the connection is closed — there is no way to resynchronize a
-/// stream mid-flood.
+/// every transport), each frame executes on this thread once the shared
+/// [`Admission`] gate lets it, and the response is written back in
+/// request order. A frame that exceeds [`crate::wire::MAX_LINE`] without
+/// a newline gets a typed `parse` error and the connection is closed —
+/// there is no way to resynchronize a stream mid-flood. A request that
+/// panics closes its connection; its slot is released and the server
+/// keeps serving.
 pub fn serve_connection<T: Transport>(
     mut transport: T,
     service: &Arc<Service>,
-    pool: &Arc<ThreadPool>,
+    gate: &Arc<Admission>,
 ) {
     let tracer = service.tracer().clone();
     tracer.instant("accept");
@@ -250,20 +277,17 @@ pub fn serve_connection<T: Transport>(
                 continue;
             }
             tracer.instant("frame");
-            let (tx, rx) = mpsc::channel();
-            let job_service = Arc::clone(service);
-            let submitted = pool.submit(Box::new(move || {
-                let _ = tx.send(job_service.handle_line(&line));
-            }));
-            let response = match submitted {
-                Ok(()) => match rx.recv() {
-                    Ok(handled) => handled.frame,
-                    Err(_) => return, // worker vanished mid-drain
-                },
-                Err(_) if service.is_draining() => {
+            let response = match gate.admit() {
+                Some(_slot) => {
+                    match catch_unwind(AssertUnwindSafe(|| service.handle_line(&line))) {
+                        Ok(handled) => handled.frame,
+                        Err(_) => return,
+                    }
+                }
+                None if service.is_draining() => {
                     ServerError::shutting_down().to_response().encode()
                 }
-                Err(_) => ServerError::overloaded().to_response().encode(),
+                None => ServerError::overloaded().to_response().encode(),
             };
             let written = {
                 let _write = tracer.span("write");

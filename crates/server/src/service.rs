@@ -55,7 +55,7 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
-/// Shared per-server state behind every worker.
+/// Shared per-server state behind every connection.
 pub struct Service {
     store: SessionStore,
     metrics: Metrics,

@@ -9,8 +9,8 @@
 //! Locking is two-level so sessions do not serialize each other: the
 //! registry mutex guards only id→entry bookkeeping (lookup, LRU stamps,
 //! eviction), while each session lives behind its own `Arc<Mutex<_>>` —
-//! two requests to *different* sessions run fully in parallel on the
-//! worker pool, and an eviction never blocks on a long-running request
+//! two requests to *different* sessions run fully in parallel on their
+//! connection threads, and an eviction never blocks on a long-running request
 //! (the in-flight request keeps its `Arc` and completes against the
 //! now-anonymous session).
 

@@ -71,7 +71,11 @@ impl Json {
             });
         }
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -277,6 +281,7 @@ impl FrameBuffer {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -442,13 +447,17 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote,
+                    // backslash or control byte as one slice. Those stop
+                    // bytes are ASCII, so both ends of the run are char
+                    // boundaries of the `&str` input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -517,6 +526,20 @@ mod tests {
         let s = "line\nquote\"back\\slash\ttab\u{1F600}é";
         let encoded = Json::Str(s.into()).encode();
         assert_eq!(Json::parse(&encoded).unwrap(), Json::Str(s.into()));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // ~512 KiB of unescaped runs (ASCII and multi-byte) between
+        // escapes: a parser that re-scans the rest of the frame per
+        // character takes seconds here, a single pass milliseconds.
+        let s = "schema sc1 { entity Étudiant { Nom: char key; } }\n".repeat(10_000);
+        let encoded = Json::Str(s.clone()).encode();
+        assert!(encoded.len() > 500_000);
+        let started = std::time::Instant::now();
+        assert_eq!(Json::parse(&encoded).unwrap(), Json::Str(s));
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "parse took {elapsed:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Chaos suite: seeded multi-client fault scenarios against the real
 //! serving stack.
 //!
-//! Each scenario builds a [`Service`] + worker pool, connects several
+//! Each scenario builds a [`Service`] + admission gate, connects several
 //! simulated clients through [`FaultedTransport`] (torn reads, short
 //! writes, virtual-time stalls, planned connection drops), and drives a
 //! seeded workload in lockstep — clients take turns, one outstanding
@@ -24,13 +24,13 @@
 //! Set `SIT_CHAOS_TRACE=<path>` to dump all traces to a file —
 //! `scripts/verify.sh` runs the suite twice and diffs the dumps.
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sit_prng::Xoshiro256pp;
 use sit_server::fault::{EventLog, FaultConfig, FaultEvent, FaultPlan, FaultedTransport, VirtualClock};
-use sit_server::pool::ThreadPool;
+use sit_server::Admission;
 use sit_server::serve_connection;
 use sit_server::service::Service;
 use sit_server::store::StoreConfig;
@@ -421,7 +421,7 @@ fn run_scenario(seed: u64) -> Vec<String> {
         },
         Arc::new(clock.clone()),
     ));
-    let pool = Arc::new(ThreadPool::new(2, 16));
+    let pool = Arc::new(Admission::new(2, 16));
     let log = EventLog::with_tracer(service.tracer().clone());
 
     let mut clients: Vec<ChaosClient> = Vec::new();
@@ -591,13 +591,13 @@ fn chaos_scenarios_are_deterministic_and_hold_invariants() {
     }
 }
 
-/// Pool saturation surfaces as the typed `overloaded` error on the wire
+/// Gate saturation surfaces as the typed `overloaded` error on the wire
 /// (not a hang, not a dropped frame), and the connection recovers once
-/// the pool frees up.
+/// a slot frees up.
 #[test]
 fn saturated_pool_answers_overloaded_then_recovers() {
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(1, 1));
+    let pool = Arc::new(Admission::new(1, 1));
     let (client_end, server_end) = sim_pair();
     let svc = Arc::clone(&service);
     let pl = Arc::clone(&pool);
@@ -610,19 +610,17 @@ fn saturated_pool_answers_overloaded_then_recovers() {
         handle,
     };
 
-    // Occupy the single worker behind a gate, then fill the queue.
-    let (gate_tx, gate_rx) = mpsc::channel::<()>();
-    let gate_rx = Arc::new(Mutex::new(gate_rx));
-    let blocker = Arc::clone(&gate_rx);
-    pool.submit(Box::new(move || {
-        blocker.lock().unwrap().recv().ok();
-    }))
-    .unwrap();
-    while pool.queued() > 0 {
+    // Hold the single running slot, then fill the waiting slot with a
+    // helper that runs (and returns) once the running slot frees.
+    let running = pool.admit().unwrap();
+    let waiter = {
+        let pool = Arc::clone(&pool);
+        std::thread::spawn(move || drop(pool.admit().unwrap()))
+    };
+    while pool.waiting() < 1 {
         std::thread::yield_now();
     }
-    pool.submit(Box::new(|| {})).unwrap();
-    assert_eq!(pool.queued(), pool.capacity(), "queue saturated");
+    assert_eq!((pool.running(), pool.waiting()), (1, 1), "gate saturated");
 
     // A request now bounces with the typed backpressure error.
     let Outcome::Response(resp) = client.call(r#"{"op":"ping"}"#) else {
@@ -631,8 +629,8 @@ fn saturated_pool_answers_overloaded_then_recovers() {
     let value = Json::parse(&resp).unwrap();
     assert_eq!(err_code(&value), Some("overloaded"), "{resp}");
 
-    // Release the worker; the same connection recovers.
-    gate_tx.send(()).unwrap();
+    // Release the slot; the same connection recovers.
+    drop(running);
     let mut recovered = false;
     for _ in 0..200 {
         match client.call(r#"{"op":"ping"}"#) {
@@ -648,6 +646,7 @@ fn saturated_pool_answers_overloaded_then_recovers() {
 
     drop(client.conn);
     client.handle.join().unwrap();
+    waiter.join().unwrap();
     pool.shutdown();
 }
 
@@ -656,7 +655,7 @@ fn saturated_pool_answers_overloaded_then_recovers() {
 #[test]
 fn oversized_frame_gets_parse_error_then_close() {
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(2, 8));
+    let pool = Arc::new(Admission::new(2, 8));
     let (mut client_end, server_end) = sim_pair();
     let svc = Arc::clone(&service);
     let pl = Arc::clone(&pool);
@@ -696,7 +695,7 @@ fn oversized_frame_gets_parse_error_then_close() {
 #[test]
 fn client_hangup_mid_frame_never_executes_the_partial_request() {
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(2, 8));
+    let pool = Arc::new(Admission::new(2, 8));
     let (mut client_end, server_end) = sim_pair();
     let svc = Arc::clone(&service);
     let pl = Arc::clone(&pool);
@@ -715,7 +714,7 @@ fn client_hangup_mid_frame_never_executes_the_partial_request() {
 #[test]
 fn stats_under_torn_frames_is_well_formed() {
     let service = Arc::new(Service::new(StoreConfig::default()));
-    let pool = Arc::new(ThreadPool::new(2, 8));
+    let pool = Arc::new(Admission::new(2, 8));
     let (client_end, server_end) = sim_pair();
     let cfg = FaultConfig {
         min_segment: 1,

@@ -9,7 +9,7 @@ use std::thread::JoinHandle;
 use sit_obs::clock::ManualClock;
 use sit_obs::trace::Phase;
 use sit_server::fault::{EventLog, FaultConfig, FaultPlan, FaultedTransport, VirtualClock};
-use sit_server::pool::ThreadPool;
+use sit_server::Admission;
 use sit_server::serve_connection;
 use sit_server::service::Service;
 use sit_server::store::StoreConfig;
@@ -205,7 +205,7 @@ fn fault_events_join_the_span_stream() {
         StoreConfig::default(),
         Arc::new(clock.clone()),
     ));
-    let pool = Arc::new(ThreadPool::new(2, 8));
+    let pool = Arc::new(Admission::new(2, 8));
     let (mut client_end, server_end) = sim_pair();
     let log = EventLog::with_tracer(service.tracer().clone());
     let cfg = FaultConfig {

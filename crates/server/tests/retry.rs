@@ -239,7 +239,7 @@ fn retries_respect_the_backoff_schedule_end_to_end() {
 
 #[test]
 fn retry_against_the_real_server_saturated_pool() {
-    // End-to-end: a real server with a 1-thread/1-slot pool gets
+    // End-to-end: a real server with a 1-running/1-waiting gate gets
     // firehosed by a competing connection; a retrying client keeps
     // backing off through any `overloaded` rejections and lands a pong.
     use sit_server::server::{Server, ServerConfig};
